@@ -1,15 +1,14 @@
-"""Event-pump benchmark: global kernel vs the legacy per-shard idle loop.
+"""Event-pump benchmark: the global kernel's cost per event vs source count.
 
-Drives the same seeded Zipf keyed workload through both execution backends
-and reports wall-clock time, simulated events per second, and the kernel's
-cross-shard interleaving rate.  The legacy loop runs each shard's queue to
-quiescence in turn (no cross-shard timing, but perfect batch locality);
-the global kernel merges every queue onto one clock.  Head selection is an
-invalidation-tolerant heap over source head times (O(log S) per event; it
-used to be an O(S) scan per event), so the kernel's overhead stays flat as
-pools -- and with them registered event sources -- multiply.  The pool
-sweep at a fixed operation count is the regression signal for that: the
-kernel/legacy wall ratio must not grow with the source count.
+Drives the same seeded Zipf keyed workload through the global simulation
+kernel at growing pool counts and reports wall-clock time, simulated
+events per second, and the kernel's cross-shard interleaving rate.  Head
+selection is an invalidation-tolerant heap over source head times (O(log
+S) per event; it used to be an O(S) scan per event), so the kernel's
+per-event overhead stays flat as pools -- and with them registered event
+sources -- multiply.  The pool sweep at a fixed per-shard load is the
+regression signal for that: wall time per kernel event must not grow with
+the source count.
 
 There is no paper analogue; this characterises the simulation engine itself.
 """
@@ -24,12 +23,12 @@ from repro import (
     ClusterSimulation,
     KeyedWorkloadRunner,
     LDSConfig,
-    ShardedCluster,
     WorkloadGenerator,
 )
 
 DURATION = 400.0
 SEED = 23
+POOL_COUNTS = (3, 8, 12)
 
 
 def _pools(count: int):
@@ -44,27 +43,13 @@ def _workload(num_keys: int, num_operations: int):
     )
 
 
-def _run_legacy(pools: int, num_keys: int, num_operations: int):
-    config = LDSConfig(n1=3, n2=4, f1=1, f2=1)
-    cluster = ShardedCluster(config, _pools(pools), seed=SEED)
-    started = time.perf_counter()
-    report = KeyedWorkloadRunner(cluster.router).run(
-        _workload(num_keys, num_operations))
-    wall = time.perf_counter() - started
-    events = sum(shard.system.simulator.events_processed
-                 for shard in cluster.router.shards.values())
-    assert report.is_atomic
-    return {"wall": wall, "events": events, "switch_rate": 0.0,
-            "sources": len(cluster.router.shards)}
-
-
 def _run_kernel(pools: int, num_keys: int, num_operations: int):
     config = LDSConfig(n1=3, n2=4, f1=1, f2=1)
     simulation = ClusterSimulation(config, _pools(pools), seed=SEED)
-    started = time.perf_counter()
+    started = time.perf_counter()  # simlint: disable=ND02 -- wall-clock benchmark timing only
     report = KeyedWorkloadRunner(simulation).run(
         _workload(num_keys, num_operations))
-    wall = time.perf_counter() - started
+    wall = time.perf_counter() - started  # simlint: disable=ND02 -- wall-clock benchmark timing only
     assert report.is_atomic
     return {"wall": wall, "events": simulation.kernel.events_processed,
             "switch_rate": simulation.interleaving.switch_rate,
@@ -73,61 +58,55 @@ def _run_kernel(pools: int, num_keys: int, num_operations: int):
 
 def test_bench_event_pump():
     # Shards (event sources) scale with the cluster: 8 keys per pool, one
-    # fixed per-shard load.  Under the old O(S)-scan head selection the
-    # kernel/legacy wall ratio grew with the source count (measured 1.20x
-    # at 3 pools / 24 sources -> 1.32x at 12 pools / 77 sources); with the
-    # heap it must stay flat.
+    # fixed per-shard load.
     rows = []
-    ratios = {}
-    kernel_walls = {}
-    legacy_walls = {}
-    for pools in (3, 8, 12):
+    runs = {}
+    for pools in POOL_COUNTS:
         num_keys = 8 * pools
         num_operations = 6 * num_keys
-        legacy = _run_legacy(pools, num_keys, num_operations)
-        kernel = _run_kernel(pools, num_keys, num_operations)
-        kernel_walls[pools] = kernel["wall"]
-        legacy_walls[pools] = legacy["wall"]
-        for backend, run in (("legacy-loop", legacy), ("global-kernel", kernel)):
-            rows.append((
-                pools,
-                num_keys,
-                num_operations,
-                backend,
-                run["sources"],
-                f"{run['wall'] * 1e3:.1f}",
-                run["events"],
-                f"{run['events'] / run['wall']:,.0f}",
-                f"{run['switch_rate']:.2f}",
-            ))
-        ratios[pools] = kernel["wall"] / legacy["wall"]
-        rows.append((pools, num_keys, num_operations, "kernel/legacy wall",
-                     "", f"{ratios[pools]:.2f}x", "", "", ""))
+        run = _run_kernel(pools, num_keys, num_operations)
+        run["us_per_event"] = run["wall"] * 1e6 / run["events"]
+        runs[pools] = run
+        rows.append((
+            pools,
+            num_keys,
+            num_operations,
+            run["sources"],
+            f"{run['wall'] * 1e3:.1f}",
+            run["events"],
+            f"{run['events'] / run['wall']:,.0f}",
+            f"{run['us_per_event']:.1f}",
+            f"{run['switch_rate']:.2f}",
+        ))
 
     emit_table(
         "event_pump",
-        "global kernel vs legacy idle loop (O(log S) heap head selection)",
-        ["pools", "keys", "ops", "backend", "sources", "wall ms",
-         "sim events", "events/s", "switch rate"],
+        "global kernel cost per event vs pool count (O(log S) heap head "
+        "selection)",
+        ["pools", "keys", "ops", "sources", "wall ms", "sim events",
+         "events/s", "us/event", "switch rate"],
         rows,
     )
     emit_json("BENCH_event_pump.json", {
         "name": "event_pump",
         "seed": SEED,
-        "config": {"duration": DURATION, "pool_counts": [3, 8, 12],
+        "config": {"duration": DURATION, "pool_counts": list(POOL_COUNTS),
                    "keys_per_pool": 8, "ops_per_key": 6},
         "metrics": {
             f"pools_{pools}": {
-                "kernel_over_legacy_wall": ratios[pools],
-                "kernel_wall_s": kernel_walls[pools],
-                "legacy_wall_s": legacy_walls[pools],
+                "kernel_wall_s": run["wall"],
+                "events": run["events"],
+                "events_per_s": run["events"] / run["wall"],
+                "us_per_event": run["us_per_event"],
+                "switch_rate": run["switch_rate"],
             }
-            for pools in ratios
+            for pools, run in runs.items()
         },
     })
 
     # Loose sanity bound only: single-sample wall-clock ratios are noisy
     # on shared CI runners, so the table above is the real regression
     # signal; this assertion only catches a gross (2x-class) blow-up of
-    # the kernel's per-event overhead at the largest source count.
-    assert ratios[12] <= 2.0
+    # the per-event cost as the source count quadruples -- the signature
+    # of head selection regressing from O(log S) towards O(S).
+    assert runs[12]["us_per_event"] <= 2.0 * runs[3]["us_per_event"]

@@ -47,9 +47,6 @@ def main() -> None:
           f"{report.write_latency.p95:.1f}")
     print(f"  read  latency p50/p95: {report.read_latency.p50:.1f}/"
           f"{report.read_latency.p95:.1f}")
-    print(f"  batching: {cluster.router_stats.batches_flushed} batches, "
-          f"mean size {cluster.router_stats.mean_batch_size:.1f}, "
-          f"largest {cluster.router_stats.largest_batch}")
 
     # Make sure every key has a shard so the failure drill touches them all.
     cluster.router.ensure_shards(keys)

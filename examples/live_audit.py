@@ -77,7 +77,7 @@ def check_non_perturbation() -> bool:
           f"{sanitizer.probes_checked} probes checked, "
           f"{len(sanitizer.violations)} violation(s)")
 
-    batch = check_sessions(live.history(global_clock=True))
+    batch = check_sessions(live.history())
     streamed = live.audit().sessions
     equivalent = (
         streamed.describe() == batch.describe()

@@ -95,7 +95,7 @@ def main() -> int:
     if not report.ok:
         failures.append("the audit reported violations")
 
-    history = simulation.history(global_clock=True)
+    history = simulation.history()
     if any(is_quorum_read(op) for op in history):
         injection = inject_quorum_version_drop(history)
         injected = check_sessions(injection.history)

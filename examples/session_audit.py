@@ -75,7 +75,7 @@ def main() -> None:
             for violation in sessions.violations[:5]:
                 print(f"    {violation}")
         if scenario.name == "repair-under-load":
-            audited_history = simulation.history(global_clock=True)
+            audited_history = simulation.history()
 
     print("\ninjection drill (repair-under-load history): every guarantee "
           "class must be detectable:")

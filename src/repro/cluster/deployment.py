@@ -3,7 +3,8 @@
 :class:`ShardedCluster` is the one-stop entry point for scale-out
 experiments: it builds a :class:`~repro.cluster.membership.Membership`
 with one full node set per named pool, an
-:class:`~repro.cluster.router.ObjectRouter` over it, and a
+:class:`~repro.cluster.router.ObjectRouter` over it on a
+:class:`~repro.sim.kernel.GlobalScheduler`, and a
 :class:`~repro.cluster.repair.RepairScheduler` subscribed to failures --
 then exposes the small driving surface the examples and benchmarks use
 (keyed reads/writes, node failure injection, pool join/leave with
@@ -65,9 +66,11 @@ class ShardedCluster:
                  seed: Optional[int] = None,
                  replication: Optional[ReplicationConfig] = None,
                  read_policy: Union[str, ReadRoutingPolicy] = "primary",
-                 telemetry=None) -> None:
+                 telemetry=None, kernel=None) -> None:
         if not pool_names:
             raise ValueError("a cluster needs at least one pool")
+        # Imported here: repro.sim's package init imports this module.
+        from repro.sim.kernel import GlobalScheduler
         self.config = config
         #: Root RNG seed.  Every stochastic component (per-shard latency
         #: models, repair jitter) derives its own seed from it, so one seed
@@ -84,7 +87,7 @@ class ShardedCluster:
             replication = dc_replace(replication,
                                      seed=derive_seed(seed, "replicas"))
         self.router = ObjectRouter(
-            config, self.membership,
+            config, self.membership, kernel or GlobalScheduler(),
             writers_per_shard=writers_per_shard,
             readers_per_shard=readers_per_shard,
             latency_factory=latency_factory,
@@ -105,12 +108,8 @@ class ShardedCluster:
 
     @property
     def kernel(self):
-        """The attached :class:`~repro.sim.kernel.GlobalScheduler` (or None)."""
+        """The :class:`~repro.sim.kernel.GlobalScheduler` driving the cluster."""
         return self.router.kernel
-
-    def attach_kernel(self, kernel) -> None:
-        """Drive the whole cluster from one global clock (see ObjectRouter)."""
-        self.router.attach_kernel(kernel)
 
     # -- driving ------------------------------------------------------------------
 
@@ -141,7 +140,7 @@ class ShardedCluster:
         self.router.check_workload_clients(workload)
 
     def add_workload(self, workload, start: float = 0.0, on_handle=None) -> int:
-        """Kernel mode only: schedule the workload as arrival events."""
+        """Schedule the workload's operations as kernel arrival events."""
         return self.router.add_workload(workload, start=start,
                                         on_handle=on_handle)
 
@@ -191,9 +190,9 @@ class ShardedCluster:
         """Per-object (per-epoch) atomicity over everything recorded so far."""
         return self.router.check_atomicity()
 
-    def history(self, global_clock: bool = False):
-        """The merged (id-qualified) history across all shards and epochs."""
-        return self.router.history(global_clock=global_clock)
+    def history(self):
+        """The merged global-clock history across all shards and epochs."""
+        return self.router.history()
 
     def operation_cost(self, handle: str) -> float:
         return self.router.operation_cost(handle)

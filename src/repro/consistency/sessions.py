@@ -38,9 +38,9 @@ clean and any reported violation is a real bug (or an injected one; see
 :mod:`repro.consistency.injection`).
 
 The auditor therefore requires a history whose timestamps are mutually
-comparable: use ``history(global_clock=True)`` from a kernel-driven
-cluster (legacy per-shard clocks would produce false verdicts across
-epochs).  Operations without a session, incomplete operations, and
+comparable: a cluster's ``history()``, which places every epoch on the
+kernel's global clock (unshifted per-shard clocks would produce false
+verdicts across epochs).  Operations without a session, incomplete operations, and
 operations without a tag are skipped (and counted in the report).
 
 In the style of Wing & Gong's checker the audit covers every

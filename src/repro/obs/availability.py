@@ -102,8 +102,8 @@ class AvailabilityMonitor:
     """Periodic fragment-presence sampling over a ``ClusterSimulation``.
 
     Duck-typed over the harness (needs ``kernel``, ``cluster``,
-    ``repair``, ``membership``); drives the same self-re-arming probe
-    cadence as the sampler.
+    ``repair``, ``membership``); runs on the same kernel cadence
+    (:meth:`~repro.sim.kernel.GlobalScheduler.every`) as the sampler.
     """
 
     def __init__(self, simulation, *,
@@ -140,8 +140,6 @@ class AvailabilityMonitor:
         self.protected_misses = 0
         self.pool_down_misses = 0
         self.silent_alarms: List[dict] = []
-        self._armed = False
-        self._next_tick = 0.0
         registry = self.registry
         self._c_samples = registry.counter(
             "availability_samples", "fragment-presence samples drawn")
@@ -156,30 +154,14 @@ class AvailabilityMonitor:
             "availability_min_confidence",
             "weakest per-object silent-hole detection confidence")
 
-    # -- arming / probing ----------------------------------------------------------
+    # -- sampling -------------------------------------------------------------------
 
     def start(self) -> None:
-        self.ensure_armed()
+        """Run one sampling epoch every interval."""
+        self.simulation.kernel.every(self.interval, self._probe)
 
-    def ensure_armed(self) -> None:
-        """(Re)arm the sampling cadence if it previously wound down."""
-        if self._armed:
-            return
-        kernel = self.simulation.kernel
-        self._armed = True
-        self._next_tick = kernel.now + self.interval
-        kernel.schedule_probe(self._next_tick, self._probe)
-
-    def _probe(self) -> None:
-        kernel = self.simulation.kernel
-        self.tick(self._next_tick)
-        if kernel.pending_work():
-            self._next_tick = self._next_tick + self.interval
-            kernel.schedule_probe(self._next_tick, self._probe)
-        else:
-            self._armed = False
-
-    # -- sampling -------------------------------------------------------------------
+    def _probe(self, tick: float) -> None:
+        self.tick(tick)
 
     def tick(self, at: Optional[float] = None) -> List[str]:
         """One epoch: draw ``samples_per_epoch`` triples and classify them.

@@ -67,9 +67,6 @@ class LiveAuditProbe:
                  trace=None) -> None:
         if interval <= 0:
             raise ValueError("the audit interval must be positive")
-        if simulation.kernel is None:
-            raise RuntimeError("live auditing needs a kernel-driven cluster "
-                               "(shard-local clocks are mutually incomparable)")
         self.simulation = simulation
         self.interval = float(interval)
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -82,8 +79,6 @@ class LiveAuditProbe:
         #: ``(shard, result)`` for primary completions (shard-local
         #: times), ``(None, operation)`` for replica serves (merged).
         self._buffer: List[tuple] = []
-        self._armed = False
-        self._next_tick = 0.0
         registry = self.registry
         self._c_violations = registry.counter(
             "audit_violations",
@@ -175,31 +170,15 @@ class LiveAuditProbe:
             marks[key] = mark
         return marks
 
-    # -- arming / probing ----------------------------------------------------------
+    # -- probing -------------------------------------------------------------------
 
     def start(self) -> None:
-        self.ensure_armed()
+        """Audit every interval.  The kernel runs the last tick beyond the
+        last foreground event, so it drains and checks every completion."""
+        self.simulation.kernel.every(self.interval, self._probe)
 
-    def ensure_armed(self) -> None:
-        """(Re)arm the audit cadence if it previously wound down."""
-        if self._armed:
-            return
-        kernel = self.simulation.kernel
-        self._armed = True
-        self._next_tick = kernel.now + self.interval
-        kernel.schedule_probe(self._next_tick, self._probe)
-
-    def _probe(self) -> None:
-        kernel = self.simulation.kernel
+    def _probe(self, tick: float) -> None:
         self.tick()
-        if kernel.pending_work():
-            self._next_tick = self._next_tick + self.interval
-            kernel.schedule_probe(self._next_tick, self._probe)
-        else:
-            # The foreground drained.  The kernel still runs a probe
-            # scheduled beyond the last foreground event, so this final
-            # tick has already drained and checked every completion.
-            self._armed = False
 
     def tick(self) -> None:
         """One audit step: drain the feed, advance watermarks, export."""

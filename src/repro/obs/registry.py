@@ -220,20 +220,6 @@ class LabeledFamily:
             return {key[0]: child.value for key, child in self._children.items()}
         return {key: child.value for key, child in self._children.items()}
 
-    def set_values(self, mapping: Dict) -> None:
-        """Replace the family's children from a plain mapping.
-
-        The thin-view bridge hook (single-label families only): lets code
-        that used to assign a whole dict onto an attribute keep working
-        against the registry-backed view.
-        """
-        if len(self.label_names) != 1:
-            raise ValueError("set_values only supports single-label families")
-        self._children.clear()
-        label = self.label_names[0]
-        for key, value in mapping.items():
-            self.labels(**{label: key})._set(value)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"LabeledFamily({self.name!r}, labels={self.label_names}, "
                 f"children={len(self._children)})")

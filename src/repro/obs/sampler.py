@@ -1,8 +1,8 @@
 """Kernel-driven time-series sampling of cluster health.
 
-:class:`ClusterSampler` arms a periodic probe on the global scheduler's
-dedicated telemetry source (:meth:`GlobalScheduler.schedule_probe`) and,
-at every tick, snapshots the cluster into one JSON-ready row:
+:class:`ClusterSampler` registers a periodic probe on the global
+scheduler's dedicated telemetry source (:meth:`GlobalScheduler.every`)
+and, at every tick, snapshots the cluster into one JSON-ready row:
 
 * per-shard event-queue depth (total / max / the non-empty shards);
 * replication lag -- primary log head minus each live follower's
@@ -23,10 +23,9 @@ Probes are *pure observation*: they read simulation state and write
 telemetry sinks, never schedule onto shards or mutate cluster state.
 Combined with the kernel's probe bookkeeping (probes bypass the clock,
 stats, fingerprint and trace), a sampled run is byte-identical to an
-unsampled one.  The probe re-arms itself only while some non-telemetry
-source still has pending work, so a drained simulation stays drained;
-:meth:`ensure_armed` restarts the cadence when more load is added
-later.
+unsampled one.  The kernel winds the cadence down once no
+non-telemetry source has pending work, so a drained simulation stays
+drained, and restarts it when the next pump begins.
 """
 
 from __future__ import annotations
@@ -61,8 +60,6 @@ class ClusterSampler:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.trace = trace
         self.samples: List[dict] = []
-        self._armed = False
-        self._next_tick = 0.0
         registry = self.registry
         self._g_queue_total = registry.gauge(
             "cluster_queue_depth_total",
@@ -84,38 +81,14 @@ class ClusterSampler:
             "per-store replication lag observed at each probe",
             buckets=LAG_BUCKETS)
 
-    # -- arming --------------------------------------------------------------------
-
-    def start(self) -> None:
-        """Arm the first probe one interval from the current global time."""
-        self.ensure_armed()
-
-    def ensure_armed(self) -> None:
-        """(Re)arm the probe cadence if it previously wound down.
-
-        Called by the harness before each pump, so workloads added after
-        an earlier drain keep getting sampled.
-        """
-        if self._armed:
-            return
-        kernel = self.simulation.kernel
-        self._armed = True
-        self._next_tick = kernel.now + self.interval
-        kernel.schedule_probe(self._next_tick, self._probe)
-
     # -- probing --------------------------------------------------------------------
 
-    def _probe(self) -> None:
-        kernel = self.simulation.kernel
-        tick = self._next_tick
+    def start(self) -> None:
+        """Sample every interval, starting one interval from now."""
+        self.simulation.kernel.every(self.interval, self._probe)
+
+    def _probe(self, tick: float) -> None:
         self.samples.append(self.sample(tick))
-        if kernel.pending_work():
-            self._next_tick = tick + self.interval
-            kernel.schedule_probe(self._next_tick, self._probe)
-        else:
-            # The foreground drained: record this final row and wind down
-            # rather than keeping an otherwise-idle simulation spinning.
-            self._armed = False
 
     def sample(self, tick: float) -> dict:
         """One cluster-health row at virtual time ``tick``."""

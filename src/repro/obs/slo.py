@@ -121,8 +121,6 @@ class SLOTracker:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.trace = trace
         self.samples: List[dict] = []
-        self._armed = False
-        self._next_tick = 0.0
         #: Cursor into ``latency.records``; everything before it has been
         #: folded into the counters already.
         self._cursor = 0
@@ -149,20 +147,14 @@ class SLOTracker:
             "cumulative burn rate (1.0 = consuming exactly on budget)",
             labels=("op_class",))
 
-    # -- arming --------------------------------------------------------------------
+    # -- probing -------------------------------------------------------------------
 
     def start(self) -> None:
-        """Arm the first probe one interval from the current global time."""
-        self.ensure_armed()
+        """Account every interval, starting one interval from now."""
+        self.simulation.kernel.every(self.interval, self._probe)
 
-    def ensure_armed(self) -> None:
-        """(Re)arm the probe cadence if it previously wound down."""
-        if self._armed:
-            return
-        kernel = self.simulation.kernel
-        self._armed = True
-        self._next_tick = kernel.now + self.interval
-        kernel.schedule_probe(self._next_tick, self._probe)
+    def _probe(self, tick: float) -> None:
+        self.samples.append(self.sample(tick))
 
     # -- accounting ----------------------------------------------------------------
 
@@ -227,18 +219,6 @@ class SLOTracker:
                 "met": fraction >= target,
             }
         return out
-
-    # -- probing -------------------------------------------------------------------
-
-    def _probe(self) -> None:
-        kernel = self.simulation.kernel
-        tick = self._next_tick
-        self.samples.append(self.sample(tick))
-        if kernel.pending_work():
-            self._next_tick = tick + self.interval
-            kernel.schedule_probe(self._next_tick, self._probe)
-        else:
-            self._armed = False
 
     def sample(self, tick: float) -> dict:
         """One SLO accounting row at virtual time ``tick``."""

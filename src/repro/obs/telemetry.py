@@ -183,13 +183,6 @@ class Telemetry:
         if self.profile:
             self.pump_profile = simulation.kernel.enable_profiling()
 
-    def ensure_sampler_armed(self) -> None:
-        """Re-arm every probe cadence (harness calls this before pumping)."""
-        for probe in (self.sampler, self.auditor, self.availability,
-                      self.slo):
-            if probe is not None:
-                probe.ensure_armed()
-
     def report(self, simulation) -> str:
         """The terminal run report for ``simulation``."""
         return render_run_report(simulation, self)

@@ -2,10 +2,11 @@
 
 :class:`ClusterSimulation` is the one-stop entry point for cross-shard
 timing experiments: it builds a :class:`~repro.cluster.deployment.ShardedCluster`
-whose every stochastic component derives from one root seed, attaches a
-:class:`~repro.sim.kernel.GlobalScheduler`, wraps every per-shard latency
-model in a shared :class:`~repro.net.latency.LatencyRegime` (so scenarios
-can shift the whole cluster between latency regimes), and exposes:
+whose every stochastic component derives from one root seed, drives it
+with its own :class:`~repro.sim.kernel.GlobalScheduler`, wraps every
+per-shard latency model in a shared
+:class:`~repro.net.latency.LatencyRegime` (so scenarios can shift the
+whole cluster between latency regimes), and exposes:
 
 * the keyed driving API (``invoke_write`` / ``invoke_read`` /
   ``run_until_idle`` / ``history`` / ``check_atomicity`` / ...), so
@@ -105,8 +106,8 @@ class ClusterSimulation:
             replication=replication,
             read_policy=read_policy,
             telemetry=telemetry,
+            kernel=self.kernel,
         )
-        self.cluster.attach_kernel(self.kernel)
         if self.cluster.replicas is not None:
             # Follower-read latency scales with the shared regime, so a
             # latency-shift action slows replica serves like protocol
@@ -215,15 +216,10 @@ class ClusterSimulation:
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
-        if self.telemetry is not None:
-            # Work may have been added since the sampler wound down.
-            self.telemetry.ensure_sampler_armed()
         self.cluster.router.flush()
         self.kernel.run(until=until, max_events=max_events)
 
     def run_until_idle(self, max_events: int = 10_000_000) -> None:
-        if self.telemetry is not None:
-            self.telemetry.ensure_sampler_armed()
         self.cluster.run_until_idle(max_events=max_events)
 
     def run_report(self) -> str:
@@ -232,8 +228,8 @@ class ClusterSimulation:
             raise ValueError("this simulation was built without telemetry")
         return self.telemetry.report(self)
 
-    def history(self, global_clock: bool = True) -> History:
-        return self.cluster.history(global_clock=global_clock)
+    def history(self) -> History:
+        return self.cluster.history()
 
     def check_atomicity(self) -> Optional[AtomicityViolation]:
         return self.cluster.check_atomicity()
@@ -262,7 +258,7 @@ class ClusterSimulation:
         if auditor is not None:
             sessions = auditor.report()
         else:
-            sessions = check_sessions(self.history(global_clock=True))
+            sessions = check_sessions(self.history())
         return ClusterAuditReport(
             atomicity=self.check_atomicity(),
             sessions=sessions,
@@ -301,7 +297,7 @@ class ClusterSimulation:
         foreground operations across shards on one clock.
         """
         entries: List[Tuple[float, str, str]] = []
-        for op in self.history(global_clock=True):
+        for op in self.history():
             label = f"{op.kind} {op.op_id}"
             entries.append((op.invoked_at, "invoke", label))
             if op.responded_at is not None:

@@ -2,12 +2,13 @@
 
 Each :class:`~repro.core.system.LDSSystem` owns a private
 :class:`~repro.net.simulator.Simulator`, so a sharded cluster is a federation
-of independent event queues.  Running them one after another (the legacy
-``run_until_idle`` loop) destroys every cross-shard timing phenomenon:
-background repair slots never compete with foreground load, migrations never
-overlap writes, and correlated failures collapse into sequential ones.
+of independent event queues.  Running them one after another would destroy
+every cross-shard timing phenomenon: background repair slots would never
+compete with foreground load, migrations would never overlap writes, and
+correlated failures would collapse into sequential ones.
 
-The :class:`GlobalScheduler` fixes that by multiplexing any number of
+The :class:`GlobalScheduler` -- the one execution backend every cluster
+runs on -- avoids that by multiplexing any number of
 per-shard simulators -- plus its own kernel event queue for scenario actions
 and workload arrivals -- onto **one monotonic global clock**:
 
@@ -32,10 +33,11 @@ designed to leave that fingerprint untouched:
   on a dedicated ``telemetry`` source that executes at its scheduled
   instant but bypasses the global clock, the stats, the fingerprint and
   the trace -- so a sampled run is byte-identical to an unsampled one.
-  The cluster sampler, the live session auditor
-  (:mod:`repro.obs.live_audit`) and the availability monitor
-  (:mod:`repro.obs.availability`) are all probe families on this
-  source;
+  :meth:`GlobalScheduler.every` builds periodic probes on it; the
+  cluster sampler, the live session auditor
+  (:mod:`repro.obs.live_audit`), the availability monitor
+  (:mod:`repro.obs.availability`) and the SLO tracker
+  (:mod:`repro.obs.slo`) are all periodic probes;
 * :meth:`GlobalScheduler.enable_profiling` attributes every executed
   event to its callback's qualified name (count, simulated-time and
   wall-time), feeding the flamegraph work; off by default, and the
@@ -53,7 +55,7 @@ import heapq
 import zlib
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.simulator import EventHandle, Simulator
 
@@ -97,6 +99,38 @@ class SimulatorSource:
     def global_now(self) -> float:
         """The source's local clock expressed on the global timeline."""
         return self.offset + self.simulator.now
+
+
+class _Periodic:
+    """One :meth:`GlobalScheduler.every` cadence, scheduled as its own
+    tick event.  ``func`` is the probe callback: the pump profiler
+    attributes ticks to it, not to the kernel."""
+
+    def __init__(self, kernel: "GlobalScheduler", interval: float,
+                 func: Callable[[float], None]) -> None:
+        self._kernel = kernel
+        self.interval = interval
+        self.func = func
+        #: Nominal time of the pending (or last) tick.
+        self.next_tick = 0.0
+        #: False once a tick found no pending foreground work.
+        self.armed = False
+
+    def arm(self, tick: float) -> None:
+        self.next_tick = tick
+        self.armed = True
+        kernel = self._kernel
+        # A tick clamped behind the telemetry clock runs late, so its
+        # nominal successor may already lie in the global past.
+        kernel.schedule_probe(max(tick, kernel.now), self)
+
+    def __call__(self) -> None:
+        tick = self.next_tick
+        self.func(tick)
+        if self._kernel.pending_work():
+            self.arm(tick + self.interval)
+        else:
+            self.armed = False
 
 
 @dataclass
@@ -159,6 +193,8 @@ class GlobalScheduler:
         self._fingerprint = 0
         #: Lazily created on the first :meth:`schedule_probe`.
         self._telemetry_source: Optional[SimulatorSource] = None
+        #: Periodic probes registered through :meth:`every`.
+        self._periodic: List[_Periodic] = []
         #: Pump profile (:class:`repro.obs.profile.PumpProfile`) or None.
         self._profile = None
         #: Runtime sanitizer (:class:`repro.sim.sanitizer.KernelSanitizer`)
@@ -285,10 +321,33 @@ class GlobalScheduler:
                 requested=time, effective=source.to_global(local))
         return source.simulator.schedule_at(local, callback)
 
+    def every(self, interval: float, callback: Callable[[float], None]) -> None:
+        """Call ``callback(tick)`` as a probe every ``interval`` time units.
+
+        Ticks fall at ``now + interval``, ``now + 2 * interval``, ... and
+        are scheduled through :meth:`schedule_probe`, so they share its
+        purity contract and its clamp to the telemetry source's clock (the
+        callback still receives the nominal tick).  A tick that finds no
+        :meth:`pending_work` is the last one: the cadence winds down
+        rather than keep a drained simulation pumping, and :meth:`run` /
+        :meth:`run_until_idle` re-arm it from the then-current time.
+        """
+        if interval <= 0:
+            raise ValueError("a periodic probe needs a positive interval")
+        periodic = _Periodic(self, float(interval), callback)
+        self._periodic.append(periodic)
+        periodic.arm(self._now + periodic.interval)
+
+    def _rearm_periodic(self) -> None:
+        """Restart every cadence that wound down (new work may exist)."""
+        for periodic in self._periodic:
+            if not periodic.armed:
+                periodic.arm(self._now + periodic.interval)
+
     def pending_work(self) -> bool:
         """True while any non-telemetry source has a pending event.
 
-        This is what a self-re-arming probe checks before scheduling its
+        A periodic probe (:meth:`every`) checks this before scheduling its
         next tick; re-arming unconditionally would keep an otherwise
         drained simulation pumping forever.
         """
@@ -471,6 +530,7 @@ class GlobalScheduler:
         The clock never rewinds: an ``until`` already in the past leaves it
         untouched (matching :meth:`Simulator.run`).
         """
+        self._rearm_periodic()
         executed = 0
         while True:
             if max_events is not None and executed >= max_events:
@@ -492,6 +552,7 @@ class GlobalScheduler:
         pending-map leak check -- the one invariant that is only
         meaningful once no event could still perform the cleanup.
         """
+        self._rearm_periodic()
         executed = 0
         while self.step():
             executed += 1

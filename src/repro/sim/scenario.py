@@ -8,8 +8,8 @@ workload phase -- each pinned to a global virtual time.  The
 load changes land *between* foreground protocol events exactly where the
 timeline puts them, instead of between whole run-to-idle passes.
 
-Eight scenarios ship with the engine, covering the cross-shard phenomena
-the legacy per-shard loop could never exhibit:
+Eight scenarios ship with the engine, covering cross-shard phenomena
+that running each shard to idle in turn could never exhibit:
 
 * :func:`repair_under_load` -- a back-end node dies mid-workload and the
   rate-limited background repairs compete with foreground Zipf traffic;

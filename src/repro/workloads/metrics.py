@@ -55,11 +55,9 @@ def summarize_latencies(latencies: Iterable[float]) -> LatencySummary:
 class ReadDistribution:
     """How a replica-routed read workload spread over the replicas.
 
-    Built from the router's counters (duck-typed, so any object exposing
-    ``reads_by_replica`` / ``primary_reads`` / ``follower_reads`` /
-    ``session_fallbacks`` / ``failover_deferrals`` / ``policy_hit_rate``
-    works); benchmarks assert on it to prove follower reads actually
-    offload the primaries and the routing policy's choices are honored.
+    Built from the router's :class:`~repro.cluster.router.RouterStats`;
+    benchmarks assert on it to prove follower reads actually offload the
+    primaries and the routing policy's choices are honored.
     """
 
     #: Reads routed per pool (primary, follower and quorum-leg routes
@@ -89,47 +87,13 @@ class ReadDistribution:
             primary_reads=stats.primary_reads,
             follower_reads=stats.follower_reads,
             session_fallbacks=stats.session_fallbacks,
-            retired_fallbacks=getattr(stats, "retired_fallbacks", 0),
+            retired_fallbacks=stats.retired_fallbacks,
             failover_deferrals=stats.failover_deferrals,
             policy_hit_rate=stats.policy_hit_rate,
-            quorum_reads=getattr(stats, "quorum_reads", 0),
-            quorum_depths=dict(getattr(stats, "quorum_depths", {})),
-            read_repairs=getattr(stats, "read_repairs", 0),
-            forwarded_writes=getattr(stats, "forwarded_writes", 0),
-        )
-
-    @classmethod
-    def from_registry(cls, registry) -> "ReadDistribution":
-        """Build the distribution from ``router_*`` registry metrics.
-
-        The registry is the same data the attribute view reads, exported
-        through :class:`repro.obs.MetricsRegistry` -- so a benchmark that
-        only holds a registry snapshot can still compute the routing
-        summary.  Missing metrics count as zero (e.g. a run without
-        replica groups never registers the quorum series).
-        """
-        def scalar(name: str) -> int:
-            metric = registry.get(f"router_{name}")
-            return metric.value if metric is not None else 0
-
-        def family(name: str) -> Dict:
-            metric = registry.get(f"router_{name}")
-            return metric.as_dict() if metric is not None else {}
-
-        choices = scalar("policy_choices")
-        honored = scalar("policy_honored")
-        return cls(
-            counts=family("reads_by_replica"),
-            primary_reads=scalar("primary_reads"),
-            follower_reads=scalar("follower_reads"),
-            session_fallbacks=scalar("session_fallbacks"),
-            retired_fallbacks=scalar("retired_fallbacks"),
-            failover_deferrals=scalar("failover_deferrals"),
-            policy_hit_rate=honored / choices if choices else 0.0,
-            quorum_reads=scalar("quorum_reads"),
-            quorum_depths=family("quorum_depth"),
-            read_repairs=scalar("read_repairs"),
-            forwarded_writes=scalar("forwarded_writes"),
+            quorum_reads=stats.quorum_reads,
+            quorum_depths=dict(stats.quorum_depths),
+            read_repairs=stats.read_repairs,
+            forwarded_writes=stats.forwarded_writes,
         )
 
     @property

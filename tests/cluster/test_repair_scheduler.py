@@ -9,6 +9,7 @@ from repro.cluster.repair import DONE, RepairScheduler
 from repro.cluster.router import ObjectRouter
 from repro.core.config import LDSConfig
 from repro.net.latency import FixedLatencyModel
+from repro.sim.kernel import GlobalScheduler
 
 POOLS = ["pool-0", "pool-1"]
 
@@ -22,7 +23,7 @@ def build_cluster(config, *, min_interval=5.0, max_concurrent=1,
                   detection_delay=1.0, num_keys=16):
     membership = Membership.for_pools(POOLS, n1=config.n1, n2=config.n2)
     router = ObjectRouter(
-        config, membership,
+        config, membership, GlobalScheduler(),
         latency_factory=lambda pool, key: FixedLatencyModel(tau0=1, tau1=1, tau2=10),
     )
     scheduler = RepairScheduler(
@@ -101,7 +102,7 @@ def test_repair_reports_download_costs(config):
 
 def test_failure_with_no_shards_recovers_immediately(config):
     membership = Membership.for_pools(POOLS, n1=config.n1, n2=config.n2)
-    router = ObjectRouter(config, membership)
+    router = ObjectRouter(config, membership, GlobalScheduler())
     RepairScheduler(router)
     membership.fail("pool-0/l2-0", time=0.0)
     assert membership.node("pool-0/l2-0").status == ALIVE
@@ -143,7 +144,7 @@ def test_tasks_complete_even_with_inflight_offloads(config):
     """A failure right after a burst of writes still converges via retries."""
     membership = Membership.for_pools(POOLS, n1=config.n1, n2=config.n2)
     router = ObjectRouter(
-        config, membership,
+        config, membership, GlobalScheduler(),
         latency_factory=lambda pool, key: FixedLatencyModel(tau0=1, tau1=1, tau2=10),
     )
     scheduler = RepairScheduler(router, min_interval=2.0, detection_delay=0.5)

@@ -32,13 +32,12 @@ def config() -> LDSConfig:
 
 def build_cluster(config, *, r=3, policy="round-robin", pools=4, seed=11,
                   **replication_kwargs):
+    kernel = GlobalScheduler()
     cluster = ShardedCluster(
         config, [f"pool-{i}" for i in range(pools)], seed=seed,
         replication=ReplicationConfig(r=r, **replication_kwargs),
-        read_policy=policy,
+        read_policy=policy, kernel=kernel,
     )
-    kernel = GlobalScheduler()
-    cluster.attach_kernel(kernel)
     return cluster, kernel
 
 
@@ -65,13 +64,15 @@ class TestPlacement:
         cluster_none = ShardedCluster(config, ["pool-0", "pool-1"])
         assert cluster_none.replicas is None
 
-    def test_replication_requires_the_global_kernel(self, config):
-        cluster = ShardedCluster(
-            config, ["pool-0", "pool-1"],
-            replication=ReplicationConfig(r=2),
-        )
-        with pytest.raises(RuntimeError, match="global clock"):
-            cluster.write("obj-0", b"x")
+    def test_replication_runs_on_the_clusters_own_kernel(self, config):
+        cluster = ShardedCluster(config, ["pool-0", "pool-1"],
+                                 replication=ReplicationConfig(r=2))
+        assert cluster.write("obj-0", b"x").value == b"x"
+        cluster.run_until_idle()
+        assert cluster.replicas.kernel is cluster.kernel
+        assert cluster.kernel.events_processed > 0
+        group = cluster.replicas.groups["obj-0"]
+        assert len(group.pools()) == 2
 
     def test_unknown_policy_is_rejected(self):
         with pytest.raises(ValueError, match="unknown read routing policy"):
@@ -219,7 +220,7 @@ class TestSessionGuard:
         assert stats.session_fallbacks == 3  # one per rejected choice
         assert stats.follower_reads == 0
         assert stats.policy_hit_rate < 1.0
-        report = check_sessions(cluster.history(global_clock=True))
+        report = check_sessions(cluster.history())
         assert report.ok
 
     def test_disabling_the_guard_makes_stale_reads_detectable(self, config):
@@ -238,7 +239,7 @@ class TestSessionGuard:
                    for i in range(3)]
         cluster.run_until_idle()
         del handles
-        report = check_sessions(cluster.history(global_clock=True))
+        report = check_sessions(cluster.history())
         assert not report.ok
         assert any(v.guarantee in ("read-your-writes", "monotonic-reads")
                    for v in report.violations)
@@ -272,7 +273,7 @@ class TestFailover:
         assert cluster.router.result(write).value == b"v2"
         assert cluster.router.result(read) is not None
         assert cluster.check_atomicity() is None
-        assert check_sessions(cluster.history(global_clock=True)).ok
+        assert check_sessions(cluster.history()).ok
         # Redundancy is restored: a replacement follower was provisioned.
         assert len(group.live_followers()) == 2
         assert victim not in group.pools()
@@ -504,7 +505,7 @@ class TestFailover:
             assert cluster.read(f"obj-{i}").value == f"v{i}".encode()
         cluster.run_until_idle()
         assert cluster.check_atomicity() is None
-        assert check_sessions(cluster.history(global_clock=True)).ok
+        assert check_sessions(cluster.history()).ok
 
     def test_rebalance_after_failover_avoids_the_dead_pool(self, config):
         # The ring still lists a killed pool (failures do not change
@@ -747,7 +748,7 @@ class TestQuorumReads:
         stats = cluster.router_stats
         assert stats.session_fallbacks == 1
         assert cluster.router.incomplete_operations() == 0
-        assert check_sessions(cluster.history(global_clock=True)).ok
+        assert check_sessions(cluster.history()).ok
 
     def test_guardless_stale_quorum_is_caught_by_the_auditor(self, config):
         cluster, kernel = build_cluster(config, policy="quorum",
@@ -763,7 +764,7 @@ class TestQuorumReads:
                    for i in range(2)]
         cluster.run_until_idle()
         del handles
-        report = check_sessions(cluster.history(global_clock=True))
+        report = check_sessions(cluster.history())
         assert not report.ok
         assert any(v.guarantee in ("read-your-writes", "monotonic-reads")
                    for v in report.violations)
@@ -889,7 +890,7 @@ class TestWriteForwarding:
         assert cluster.router_stats.forwarded_writes == 1
         assert cluster.read("k").value == b"v2"
         assert cluster.check_atomicity() is None
-        assert check_sessions(cluster.history(global_clock=True)).ok
+        assert check_sessions(cluster.history()).ok
 
 
 class _StickyPolicy(ReadRoutingPolicy):
@@ -922,7 +923,7 @@ class TestRoutingFallbackAccounting:
         cluster.run_until_idle()
         assert cluster.router.result(late) is not None
         assert cluster.router.result(future) is not None
-        history = cluster.history(global_clock=True)
+        history = cluster.history()
         invoked = sorted(op.invoked_at for op in history if op.kind == READ)
         assert len(invoked) == 2
         # The late read is clamped to ~t; the future read keeps its
@@ -1112,7 +1113,7 @@ class TestReviewRegressions:
         future = cluster.router.invoke_read("obj-0", at=t + 200.0)
         cluster.run_until_idle()
         assert cluster.router.result(late).value == b"v2"
-        history = cluster.history(global_clock=True)
+        history = cluster.history()
         read_at = [op.invoked_at for op in history if op.kind == READ]
         assert read_at == [pytest.approx(t + 200.0)]
         del future
@@ -1188,7 +1189,7 @@ class TestReviewRegressions:
         assert lagging.reads_served == 0
         stats = cluster.router_stats
         assert stats.follower_reads == healthy.reads_served
-        assert check_sessions(cluster.history(global_clock=True)).ok
+        assert check_sessions(cluster.history()).ok
 
     def test_the_quorum_pool_name_is_reserved(self, config):
         with pytest.raises(ValueError, match="reserved"):

@@ -96,12 +96,6 @@ class TestLabeledFamily:
         with pytest.raises(ValueError):
             family.labels(shard="a")
 
-    def test_set_values_replaces_children(self):
-        family = LabeledFamily("reads", "", ("pool",), Counter)
-        family.labels(pool="stale").inc(7)
-        family.set_values({"a": 1, "b": 2})
-        assert family.as_dict() == {"a": 1, "b": 2}
-
 
 class TestMetricsRegistry:
     def test_reregistration_returns_same_instrument(self):

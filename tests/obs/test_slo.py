@@ -13,24 +13,15 @@ from repro.obs.slo import (
     default_slos,
 )
 from repro.sim import quorum_reads_under_lag
-
-
-class FakeKernel:
-    def __init__(self):
-        self.now = 0.0
-        self.probes = []
-        self.busy = True
-
-    def schedule_probe(self, time, callback):
-        self.probes.append((time, callback))
-
-    def pending_work(self):
-        return self.busy
+from repro.sim.kernel import GlobalScheduler
 
 
 class FakeSimulation:
+    """Just a kernel, kept busy by one far-off foreground event."""
+
     def __init__(self):
-        self.kernel = FakeKernel()
+        self.kernel = GlobalScheduler()
+        self.kernel.schedule_at(1000.0, lambda: None)
 
 
 def feed(tracker, op_class, totals):
@@ -147,12 +138,12 @@ class TestSLOProbe:
                              slos=(SLO(op_class="write",
                                        latency_target=50.0),))
         tracker.start()
-        assert simulation.kernel.probes[0][0] == 50.0
+        kernel = simulation.kernel
 
         feed(latency, "write", [10.0] * 99 + [60.0])
-        _, probe = simulation.kernel.probes.pop(0)
-        probe()
+        kernel.run(until=50.0)
         row = tracker.samples[-1]
+        assert row["t"] == 50.0
         assert row["classes"]["write"]["burn_rate"] == pytest.approx(1.0)
         assert row["classes"]["write"]["window_burn_rate"] == \
             pytest.approx(1.0)
@@ -160,8 +151,7 @@ class TestSLOProbe:
         # Second window is clean: the window burn resets, the cumulative
         # rate decays but stays nonzero.
         feed(latency, "write", [10.0] * 100)
-        _, probe = simulation.kernel.probes.pop(0)
-        probe()
+        kernel.run(until=100.0)
         row = tracker.samples[-1]
         assert row["classes"]["write"]["window_burn_rate"] == 0.0
         assert 0.0 < row["classes"]["write"]["burn_rate"] < 1.0
@@ -171,12 +161,15 @@ class TestSLOProbe:
         latency = LatencyTracker()
         tracker = SLOTracker(simulation, latency, interval=10.0)
         tracker.start()
-        simulation.kernel.busy = False
-        _, probe = simulation.kernel.probes.pop(0)
-        probe()  # pending_work() is False -> no re-arm
-        assert simulation.kernel.probes == []
-        tracker.ensure_armed()
-        assert len(simulation.kernel.probes) == 1
+        simulation.kernel.run_until_idle()
+        # The foreground event wins the tie at 1000, so the tick there
+        # finds no work left and does not re-arm.
+        assert [row["t"] for row in tracker.samples][-2:] == [990.0, 1000.0]
+        assert simulation.kernel.peek() is None
+        # New work re-arms the cadence from the current time.
+        simulation.kernel.schedule(5.0, lambda: None)
+        simulation.kernel.run_until_idle()
+        assert tracker.samples[-1]["t"] == 1010.0
 
     def test_jsonl_export(self, tmp_path):
         simulation = FakeSimulation()

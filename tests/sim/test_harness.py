@@ -1,11 +1,11 @@
-"""ClusterSimulation harness: kernel-mode driving, arrivals, compatibility."""
+"""ClusterSimulation harness: kernel driving, arrivals, migration epochs."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.config import LDSConfig
-from repro.sim import ClusterSimulation, GlobalScheduler
+from repro.sim import ClusterSimulation
 from repro.cluster.deployment import ShardedCluster
 from repro.workloads.generator import ScheduledOperation, Workload, WorkloadGenerator
 from repro.workloads.runner import KeyedWorkloadRunner
@@ -37,7 +37,7 @@ class TestDriving:
         simulation.add_workload(workload)
         simulation.run_until_idle()
         assert simulation.arrivals == 40
-        history = simulation.history(global_clock=True)
+        history = simulation.history()
         nominal = {op.at for op in workload.operations}
         # Global invocation times equal the nominal workload times (each
         # arrival is injected exactly when the global clock reaches it).
@@ -73,7 +73,7 @@ class TestDriving:
             generator.keyed_random(KEYS, 30, 0.5, 300.0))
         assert second.is_atomic
         assert second.incomplete_operations == 0
-        late = [op for op in simulation.history(global_clock=True)
+        late = [op for op in simulation.history()
                 if op.invoked_at >= advanced]
         # the second workload kept its spread instead of firing all at once
         assert len({op.invoked_at for op in late}) > 10
@@ -88,7 +88,7 @@ class TestDriving:
         simulation.run_until_idle()
         assert simulation.check_atomicity() is None
         invoked = sorted(op.invoked_at
-                         for op in simulation.history(global_clock=True))
+                         for op in simulation.history())
         # the earliest operation lands exactly at the clock, the rest keep
         # their relative spacing behind it
         assert invoked[0] == pytest.approx(500.0)
@@ -112,8 +112,6 @@ class TestDriving:
                                for op in workload.operations]
         for system in (ClusterSimulation(config, POOLS, seed=5),
                        ShardedCluster(config, POOLS, seed=5)):
-            if system.kernel is None:
-                system.attach_kernel(GlobalScheduler())
             with pytest.raises(ValueError, match="per_shard"):
                 KeyedWorkloadRunner(system).run(workload)
 
@@ -162,7 +160,7 @@ class TestDriving:
         key = moved[0][1]
         write_at = simulation.now
         simulation.router.write(key, b"after-migration")
-        late = [op for op in simulation.history(global_clock=True)
+        late = [op for op in simulation.history()
                 if op.value == b"after-migration"]
         assert late and late[0].invoked_at <= write_at + 1e-6
         assert simulation.check_atomicity() is None
@@ -187,7 +185,7 @@ class TestDriving:
         # a write after the migration lands after the join on the global clock
         key = moved[0][1]
         simulation.router.write(key, b"late")
-        late_ops = [op for op in simulation.history(global_clock=True)
+        late_ops = [op for op in simulation.history()
                     if op.value == b"late"]
         assert late_ops and all(op.invoked_at >= join_at for op in late_ops)
         assert simulation.check_atomicity() is None
@@ -206,57 +204,10 @@ class TestDriving:
         assert mid_flight or True  # presence depends on timing; no flake
 
 
-class TestCompatibilityShim:
-    """The legacy per-shard idle loop must behave exactly as before."""
-
-    def test_cluster_without_kernel_uses_legacy_loop(self, config):
-        cluster = ShardedCluster(config, POOLS, seed=5)
-        assert cluster.kernel is None
-        generator = WorkloadGenerator(seed=5, client_spacing=60.0)
-        report = KeyedWorkloadRunner(cluster.router).run(
-            generator.zipf_keyed(KEYS, 40, 0.4, 300.0))
-        assert report.is_atomic
-        # Legacy mode batches per shard: far fewer flushes than operations.
-        assert cluster.router_stats.batches_flushed < 40
-
-    def test_kernel_mode_matches_legacy_results(self, config):
-        """Same seed, same workload: both backends return the same values
-        and stay atomic (latencies differ -- the kernel interleaves)."""
-        generator_args = dict(seed=7, client_spacing=60.0)
-
-        def values_read(system, runner_target):
-            generator = WorkloadGenerator(**generator_args)
-            workload = generator.keyed_random(KEYS, 40, 0.5, 300.0)
-            report = KeyedWorkloadRunner(runner_target).run(workload)
-            assert report.is_atomic
-            return sorted(
-                (op.op_id, bytes(op.value))
-                for op in report.history.complete()
-                if op.kind == "read" and op.value is not None
-            )
-
-        legacy = ShardedCluster(config, POOLS, seed=7)
-        kernel_sim = ClusterSimulation(config, POOLS, seed=7)
-        assert values_read(legacy, legacy.router) == \
-            values_read(kernel_sim, kernel_sim)
-
-    def test_global_clock_history_requires_a_kernel(self, config):
-        cluster = ShardedCluster(config, POOLS, seed=2)
-        cluster.write("obj-a", b"x")
-        with pytest.raises(RuntimeError, match="attached kernel"):
-            cluster.history(global_clock=True)
-        cluster.history()  # local-clock merge stays available
-
-    def test_attach_kernel_twice_rejected(self, config):
-        cluster = ShardedCluster(config, POOLS, seed=1)
-        cluster.attach_kernel(GlobalScheduler())
-        with pytest.raises(RuntimeError):
-            cluster.attach_kernel(GlobalScheduler())
-
-    def test_attach_after_migrations_keeps_epoch_order_on_global_clock(self, config):
-        """Epochs retired before the attach must map *before* their
-        successors on the global timeline (only their real-time order is
-        recoverable; the drain barrier guaranteed exactly that)."""
+class TestMigrationEpochs:
+    def test_epochs_keep_their_order_on_the_global_clock(self, config):
+        """Every epoch maps *before* its successor on the global timeline
+        (the drain barrier guarantees that real-time order)."""
         cluster = ShardedCluster(config, POOLS, seed=6)
         keys = [f"mv-{i}" for i in range(10)]
         for key in keys:
@@ -266,8 +217,7 @@ class TestCompatibilityShim:
         moved = {key for _, key, _, _ in cluster.router.migration_log}
         for key in moved:
             cluster.write(key, b"epoch1")
-        cluster.attach_kernel(GlobalScheduler())
-        history = cluster.history(global_clock=True)
+        history = cluster.history()
         for key in moved:
             epoch0 = [op for op in history if op.op_id.startswith(f"{key}/")]
             epoch1 = [op for op in history if op.op_id.startswith(f"{key}@e1/")]
@@ -276,18 +226,6 @@ class TestCompatibilityShim:
                                 for op in epoch0)
             earliest_after = min(op.invoked_at for op in epoch1)
             assert latest_before <= earliest_after
-        # and the attached cluster still works end to end
         for key in moved:
             assert cluster.read(key).value == b"epoch1"
         assert cluster.check_atomicity() is None
-
-    def test_attach_kernel_adopts_existing_shards(self, config):
-        cluster = ShardedCluster(config, POOLS, seed=1)
-        cluster.write("obj-a", b"before")
-        cluster.attach_kernel(GlobalScheduler())
-        assert cluster.read("obj-a").value == b"before"
-        cluster.write("obj-b", b"after")
-        assert cluster.read("obj-b").value == b"after"
-        assert cluster.check_atomicity() is None
-        names = {source.name for source in cluster.kernel.sources()}
-        assert "shard:obj-a" in names and "shard:obj-b" in names

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.net.simulator import Simulator
-from repro.sim.kernel import KERNEL_SOURCE, GlobalScheduler
+from repro.sim.kernel import KERNEL_SOURCE, TELEMETRY_SOURCE, GlobalScheduler
 
 
 def _recorder(kernel, log, name):
@@ -300,3 +300,104 @@ class TestHeapSelection:
         assert kernel.peek() == kernel.peek() == (4.0, "s")
         assert kernel.step()
         assert kernel.now == 4.0
+
+
+class TestPeriodicProbes:
+    """``GlobalScheduler.every``: the one idiom for periodic probes."""
+
+    @staticmethod
+    def _telemetry_now(kernel):
+        return kernel.source(TELEMETRY_SOURCE).simulator.now
+
+    def test_ticks_fall_at_now_plus_multiples_of_the_interval(self):
+        kernel = GlobalScheduler()
+        kernel.schedule_at(3.0, lambda: None)
+        kernel.run_until_idle()
+        kernel.schedule_at(50.0, lambda: None)
+        ticks = []
+        kernel.every(10.0, ticks.append)
+        kernel.run_until_idle()
+        # The tick after the last foreground event is the final one.
+        assert ticks == [13.0, 23.0, 33.0, 43.0, 53.0]
+
+    def test_cadence_winds_down_when_the_foreground_drains(self):
+        kernel = GlobalScheduler()
+        kernel.schedule_at(25.0, lambda: None)
+        ticks = []
+        kernel.every(10.0, ticks.append)
+        kernel.run_until_idle()
+        assert ticks == [10.0, 20.0, 30.0]
+        assert kernel.peek() is None
+        assert not kernel.pending_work()
+
+    def test_new_work_rearms_on_the_next_run_until_idle(self):
+        kernel = GlobalScheduler()
+        kernel.schedule_at(50.0, lambda: None)
+        ticks = []
+        kernel.every(10.0, ticks.append)
+        kernel.run_until_idle()
+        # The foreground event wins the tie at 50: that tick is the last.
+        assert ticks[-1] == 50.0
+        kernel.schedule(25.0, lambda: None)  # global 75
+        kernel.run_until_idle()
+        assert ticks[-4:] == [50.0, 60.0, 70.0, 80.0]
+
+    def test_rearm_behind_the_telemetry_clock_is_clamped(self):
+        kernel = GlobalScheduler()
+        kernel.schedule_at(30.0, lambda: None)
+        fast, slow = [], []
+        kernel.every(10.0, lambda tick: fast.append(
+            (tick, self._telemetry_now(kernel))))
+        kernel.every(25.0, lambda tick: slow.append(tick))
+        kernel.run_until_idle()
+        assert [tick for tick, _ in fast] == [10.0, 20.0, 30.0]
+        assert slow == [25.0, 50.0]
+        # The slow cadence's final tick left the telemetry clock at 50,
+        # ahead of the global clock.
+        assert kernel.now == 30.0
+        kernel.schedule(30.0, lambda: None)  # global 60
+        kernel.run_until_idle()
+        # The fast cadence re-arms at 40, behind the telemetry clock: that
+        # tick runs at 50 but keeps its nominal time, and the cadence
+        # carries on from it.
+        assert fast[3:] == [(40.0, 50.0), (50.0, 50.0), (60.0, 60.0)]
+        assert slow[2:] == [55.0, 80.0]
+
+    def test_clamped_tick_with_a_past_due_successor_catches_up(self):
+        kernel = GlobalScheduler()
+        kernel.schedule_at(30.0, lambda: None)
+        fast = []
+        kernel.every(10.0, fast.append)
+        kernel.every(100.0, lambda tick: None)
+        kernel.run_until_idle()
+        assert self._telemetry_now(kernel) == 100.0
+        for at in (35.0, 95.0, 120.0):
+            kernel.schedule_at(at, lambda: None)
+        # The re-armed tick at 40 runs at 100, after the foreground event
+        # at 95, so its nominal successor (50) is already in the global
+        # past: it is scheduled at the global clock instead of raising.
+        kernel.run_until_idle()
+        assert fast == [10.0 * i for i in range(1, 13)]
+
+    def test_ticks_leave_the_determinism_surface_untouched(self):
+        def run(with_probes):
+            kernel = GlobalScheduler()
+            source = kernel.register_simulator(Simulator(), name="work")
+            for at in (5.0, 17.0, 42.0):
+                source.simulator.schedule_at(at, lambda: None)
+            seen = []
+            if with_probes:
+                kernel.every(4.0, seen.append)
+                kernel.every(7.0, seen.append)
+            kernel.run_until_idle()
+            return (kernel.fingerprint, kernel.events_processed, kernel.now,
+                    kernel.stats.events_by_source, len(seen))
+
+        bare, probed = run(False), run(True)
+        assert probed[:4] == bare[:4]
+        assert probed[4] > 0
+
+    def test_non_positive_interval_rejected(self):
+        kernel = GlobalScheduler()
+        with pytest.raises(ValueError):
+            kernel.every(0.0, lambda tick: None)

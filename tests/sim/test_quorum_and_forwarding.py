@@ -94,7 +94,7 @@ class TestQuorumReadsUnderLag:
 
     def test_quorum_drop_injection_is_detected(self, config):
         simulation = run_quorum(config)
-        history = simulation.history(global_clock=True)
+        history = simulation.history()
         assert any(is_quorum_read(op) for op in history)
         injection = inject_quorum_version_drop(history)
         report = check_sessions(injection.history)
@@ -142,7 +142,7 @@ class TestForwardedWritesDuringFailover:
                 windows.setdefault(key, []).append((down_at.pop(key), time))
         assert windows
         frozen_writes = [
-            op for op in simulation.history(global_clock=True)
+            op for op in simulation.history()
             if op.kind == WRITE and any(
                 start <= op.invoked_at <= end
                 for start, end in windows.get(

@@ -74,25 +74,6 @@ class TestRunnerWithBaselines:
         assert report.mean_read_cost >= 5.0
 
 
-class TestKeyedRunnerSessions:
-    def test_legacy_batch_path_stamps_sessions(self):
-        """Without a kernel the runner still stamps every operation's
-        session identity, so merged histories carry sessions on both
-        execution paths."""
-        from repro.cluster.deployment import ShardedCluster
-        from repro.workloads.runner import KeyedWorkloadRunner
-
-        cluster = ShardedCluster(LDSConfig(n1=3, n2=4, f1=1, f2=1),
-                                 ["pool-0", "pool-1"], seed=5)
-        generator = WorkloadGenerator(seed=5, client_spacing=60.0)
-        workload = generator.keyed_random([f"k{i}" for i in range(4)],
-                                          12, 0.5, 300.0)
-        report = KeyedWorkloadRunner(cluster).run(workload)
-        assert report.is_atomic
-        assert len(report.history) == 12
-        assert all(op.session == "client-0" for op in report.history)
-
-
 class TestReadDistribution:
     def _stats(self):
         from repro.cluster.router import RouterStats
@@ -103,7 +84,8 @@ class TestReadDistribution:
         stats.failover_deferrals = 2
         stats.policy_choices = 10
         stats.policy_honored = 9
-        stats.reads_by_replica = {"pool-0": 4, "pool-1": 3, "pool-2": 3}
+        for pool, reads in (("pool-0", 4), ("pool-1", 3), ("pool-2", 3)):
+            stats.count_replica_read(pool, reads)
         return stats
 
     def test_from_router_stats(self):
@@ -144,7 +126,8 @@ class TestQuorumDistribution:
         stats = RouterStats()
         stats.primary_reads = 2
         stats.quorum_reads = 8
-        stats.quorum_depths = {2: 6, 1: 2}
+        for depth in [2] * 6 + [1] * 2:
+            stats.observe_quorum_depth(depth)
         stats.read_repairs = 3
         stats.forwarded_writes = 5
         stats.retired_fallbacks = 1
@@ -160,22 +143,3 @@ class TestQuorumDistribution:
         assert distribution.session_fallback_rate == pytest.approx(0.4)
         assert "quorum_reads=8" in distribution.describe()
         assert "forwarded_writes=5" in distribution.describe()
-
-    def test_legacy_stats_objects_default_the_new_counters(self):
-        # from_router_stats stays duck-typed: an object exposing only the
-        # pre-quorum counters must still build a distribution.
-        from repro.workloads.metrics import ReadDistribution
-
-        class LegacyStats:
-            reads_by_replica = {"a": 1}
-            primary_reads = 1
-            follower_reads = 0
-            session_fallbacks = 0
-            failover_deferrals = 0
-            policy_hit_rate = 1.0
-
-        distribution = ReadDistribution.from_router_stats(LegacyStats())
-        assert distribution.quorum_reads == 0
-        assert distribution.mean_quorum_depth == 0.0
-        assert distribution.read_repair_rate == 0.0
-        assert distribution.forwarded_writes == 0
